@@ -3,7 +3,7 @@
 Follows the CONGA algorithm for 2-tier leaf-spine fabrics, as the Clove
 authors reproduced it in NS2 for Section 6:
 
-* every fabric link keeps a Discounting Rate Estimator (DRE);
+* every CONGA switch egress link keeps a Discounting Rate Estimator (DRE);
 * the **source leaf** routes each flowlet onto the uplink (= full path, via
   deterministic spine forwarding) minimizing ``max(local uplink DRE,
   remote congestion metric)``;
@@ -229,12 +229,17 @@ def configure_conga(net: Network, flowlet_gap: Optional[float] = None) -> None:
 
     Expects leaves named ``L*`` (built with ``switch_class=CongaLeafSwitch``)
     and spines named ``S*`` (``CongaSpineSwitch``); fills in uplink lists,
-    local/remote IP maps and cable counts.
+    local/remote IP maps and cable counts, and attaches a DRE to every
+    egress link of a CONGA switch (the links whose utilization it reads).
     """
     leaves = {n: s for n, s in net.switches.items() if isinstance(s, CongaLeafSwitch)}
     spines = {n: s for n, s in net.switches.items() if isinstance(s, CongaSpineSwitch)}
     if not leaves or not spines:
         raise ValueError("configure_conga needs CONGA leaf and spine switches")
+    for (src, _dst), group in net.links.items():
+        if src in leaves or src in spines:
+            for link in group:
+                link.track_utilization()
     host_leaf = {ip: leaf for _h, (ip, leaf) in net.hosts.items()}
     for name, leaf in leaves.items():
         uplinks: List[Link] = []

@@ -62,8 +62,6 @@ SCHEMES = (
     "letflow",
 )
 
-_SWITCH_SCHEMES = {"conga", "letflow"}
-
 
 @dataclass
 class ExperimentConfig:
@@ -231,6 +229,50 @@ def ideal_path_weights(net: Network, traces: Sequence[PathTrace]) -> List[float]
     return [cap / total for cap in capacities]
 
 
+def clove_params(config: ExperimentConfig, rtt: float) -> CloveParams:
+    """The edge balancer's parameters: ``config``'s RTT multiples at ``rtt``."""
+    return CloveParams(
+        flowlet_gap=config.flowlet_gap_rtt * rtt,
+        weight_reduction=config.weight_reduction,
+        congestion_expiry=config.congestion_expiry_rtt * rtt,
+        util_aging=10 * rtt,
+    )
+
+
+def build_scheme_fabric(
+    sim: Simulator,
+    rng: RngRegistry,
+    scheme: str,
+    topo: LeafSpineConfig,
+    flowlet_gap: float,
+) -> Network:
+    """Build the leaf-spine fabric with the switches ``scheme`` runs on.
+
+    Clove-INT needs INT-capable switches, CONGA its leaf/spine classes and
+    tables, LetFlow its flowlet switches; every other scheme runs on plain
+    ECMP switches.  ``flowlet_gap`` is the edge flowlet gap the in-switch
+    schemes derive theirs from.
+    """
+    if scheme == "conga":
+        topo = replace(
+            topo, leaf_switch_class=CongaLeafSwitch, spine_switch_class=CongaSpineSwitch
+        )
+    elif scheme == "letflow":
+        topo = replace(topo, switch_class=LetFlowSwitch)
+    elif scheme == "clove-int":
+        topo = replace(topo, int_capable=True)
+    net = build_leaf_spine(sim, rng, topo)
+    if scheme == "conga":
+        # CONGA's own paper tunes a larger flowlet gap than Clove's (its
+        # in-switch path changes reorder more aggressively); 3x the edge gap
+        # matches its testbed setting relative to RTT.
+        configure_conga(net, flowlet_gap=3 * flowlet_gap)
+    elif scheme == "letflow":
+        for switch in net.switches.values():
+            switch.flowlet_gap = flowlet_gap
+    return net
+
+
 def _make_policy(
     config: ExperimentConfig,
     rng: RngRegistry,
@@ -293,34 +335,12 @@ def run_experiment(
     rng = RngRegistry(config.seed)
 
     topo = config.topology if config.topology is not None else default_topology()
-    if config.scheme == "conga":
-        topo = replace(
-            topo, leaf_switch_class=CongaLeafSwitch, spine_switch_class=CongaSpineSwitch
-        )
-    elif config.scheme == "letflow":
-        topo = replace(topo, switch_class=LetFlowSwitch)
-    if config.scheme == "clove-int":
-        topo = replace(topo, int_capable=True)
-
-    net = build_leaf_spine(sim, rng, topo)
+    rtt = estimate_rtt(topo)
+    params = clove_params(config, rtt)
+    net = build_scheme_fabric(sim, rng, config.scheme, topo, params.flowlet_gap)
     if config.failover_delay_s > 0.0:
         for switch in net.switches.values():
             switch.failover_delay = config.failover_delay_s
-    rtt = estimate_rtt(topo)
-    params = CloveParams(
-        flowlet_gap=config.flowlet_gap_rtt * rtt,
-        weight_reduction=config.weight_reduction,
-        congestion_expiry=config.congestion_expiry_rtt * rtt,
-        util_aging=10 * rtt,
-    )
-    if config.scheme == "conga":
-        # CONGA's own paper tunes a larger flowlet gap than Clove's (its
-        # in-switch path changes reorder more aggressively); 3x the edge gap
-        # matches its testbed setting relative to RTT.
-        configure_conga(net, flowlet_gap=3 * params.flowlet_gap)
-    elif config.scheme == "letflow":
-        for switch in net.switches.values():
-            switch.flowlet_gap = params.flowlet_gap
 
     # ------------------------------------------------------------------
     # Fault injection: the effective plan (config.chaos + the asymmetric

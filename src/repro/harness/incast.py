@@ -5,11 +5,12 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from repro.core.clove import CloveParams
 from repro.core.discovery import DiscoveryConfig, PathDiscovery
 from repro.harness.experiment import (
     ExperimentConfig,
     _make_policy,
+    build_scheme_fabric,
+    clove_params,
     default_topology,
     estimate_rtt,
 )
@@ -18,7 +19,9 @@ from repro.runner.job import fingerprint_payload
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.topology.leafspine import build_leaf_spine
+# Unused here since build_scheme_fabric builds the fabric, but kept
+# importable from this module: perfbench/test_perfbench.py snapshots it.
+from repro.topology.leafspine import build_leaf_spine  # noqa: F401
 from repro.transport.mptcp import open_mptcp_connection
 from repro.transport.tcp import open_connection
 from repro.workloads.incast import IncastConfig, IncastWorkload
@@ -51,15 +54,10 @@ def run_incast(
     sim = Simulator()
     rng = RngRegistry(seed)
     topo = default_topology()
-    net = build_leaf_spine(sim, rng, topo)
     rtt = estimate_rtt(topo)
     config = ExperimentConfig(scheme=scheme, seed=seed, mptcp_subflows=mptcp_subflows)
-    params = CloveParams(
-        flowlet_gap=config.flowlet_gap_rtt * rtt,
-        weight_reduction=config.weight_reduction,
-        congestion_expiry=config.congestion_expiry_rtt * rtt,
-        util_aging=10 * rtt,
-    )
+    params = clove_params(config, rtt)
+    net = build_scheme_fabric(sim, rng, scheme, topo, params.flowlet_gap)
     discovery_cfg = DiscoveryConfig(
         k_paths=4, n_candidate_ports=24, max_ttl=5,
         round_timeout=max(20 * rtt, 1e-3), probe_interval=1.0,

@@ -171,11 +171,9 @@ class VSwitch:
         sport = self.policy.select_source_port(inner, packet, now)
         if self._tel_trace is not None and packet.payload_bytes:
             self._tel_trace.flowlet_bytes(inner, packet.payload_bytes)
-        outer_id = (dst_hyp, sport)
-        outer = self._outer_keys.get(outer_id)
+        outer = self._outer_keys.get((dst_hyp, sport))
         if outer is None:
-            outer = FlowKey(self.host.ip, dst_hyp, sport, STT_DST_PORT)
-            self._outer_keys[outer_id] = outer
+            outer = self.outer_key(dst_hyp, sport)
         packet.encapsulate(outer, ect=self._wants_ecn)
         if self._wants_int:
             packet.int_enabled = True
@@ -189,6 +187,20 @@ class VSwitch:
             self._attach_echo(packet, dst_hyp)
         self.tx_encapsulated += 1
         self.host.nic_send(packet)
+
+    def outer_key(self, dst_hyp: int, sport: int) -> FlowKey:
+        """The interned encapsulation 5-tuple towards ``dst_hyp`` on ``sport``.
+
+        Discovery and health probes take their keys from here as well, so
+        a probe and the data traffic it stands for hand every switch table
+        the same object.
+        """
+        outer_id = (dst_hyp, sport)
+        outer = self._outer_keys.get(outer_id)
+        if outer is None:
+            outer = FlowKey(self.host.ip, dst_hyp, sport, STT_DST_PORT)
+            self._outer_keys[outer_id] = outer
+        return outer
 
     def _transmit_rewrite(self, packet: Packet) -> None:
         """Section 7 non-overlay mode: rewrite the source port in place.

@@ -23,9 +23,12 @@ from __future__ import annotations
 import math
 from collections import deque
 
-#: buffered samples beyond this are folded in eagerly; only ever reached on
-#: links whose estimator is never read (e.g. Clove-ECN runs, where nothing
-#: consumes utilization), so exactness vs. lazy folding is moot there
+#: buffered samples beyond this are folded in eagerly, which bounds the
+#: memory of an estimator that is read rarely (the telemetry gauge reads
+#: once, at the end of a run) or never (a CONGA leaf's host-facing ports).
+#: An estimator read on every packet its link forwards (INT stamping, CONGA
+#: uplinks) holds at most a queue's worth of future samples, far below the
+#: cap, so its reads stay exact
 _PENDING_CAP = 512
 
 

@@ -8,10 +8,15 @@ Each link owns:
 
 * a :class:`~repro.net.queue.DropTailQueue` (the egress buffer of the port),
 * a virtual-clock transmitter (one packet in flight at a time —
-  store-and-forward),
-* a :class:`~repro.net.dre.DiscountingRateEstimator` used both by CONGA's
-  leaf logic and by INT stamping, and
+  store-and-forward), and
 * an up/down flag so experiments can fail links to create asymmetry.
+
+A :class:`~repro.net.dre.DiscountingRateEstimator` is attached only to the
+links whose utilization something reads — INT-capable switch egress
+(Clove-INT), CONGA switch egress, the telemetry ``link.utilization``
+gauge, a stability sampler — each of which calls
+:meth:`Link.track_utilization` while wiring, before traffic starts.
+Every other link skips rate estimation on its data path entirely.
 
 The transmitter keeps a *virtual serializer clock* (``_free_at``) instead of
 an event chain: a packet admitted at ``t`` starts serializing at
@@ -49,7 +54,6 @@ class Link:
         rate_bps: float,
         delay_s: float,
         queue: Optional[DropTailQueue] = None,
-        dre: Optional[DiscountingRateEstimator] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
@@ -63,7 +67,9 @@ class Link:
         self.nominal_rate_bps = rate_bps
         self.delay_s = delay_s
         self.queue = queue if queue is not None else DropTailQueue()
-        self.dre = dre if dre is not None else DiscountingRateEstimator(rate_bps)
+        #: rate estimator, attached by :meth:`track_utilization` (None =
+        #: nothing reads this link's utilization, so nothing records it)
+        self.dre: Optional[DiscountingRateEstimator] = None
         self.up = True
         #: sim time of the most recent :meth:`fail` (-inf = never failed);
         #: switches with a non-zero failover delay consult this to keep a
@@ -93,9 +99,9 @@ class Link:
     _tel_marks = None
 
     #: global liveness generation, bumped by every :meth:`fail` /
-    #: :meth:`recover` on any link; switches key their cached live ECMP
-    #: member lists on it, so the caches invalidate exactly when some
-    #: link's ``up`` flag flips
+    #: :meth:`recover` on any link; switches key their forwarding memos on
+    #: it, so the memos invalidate exactly when some link's ``up`` flag
+    #: flips
     state_gen = 0
 
     def attach_telemetry(self, telemetry) -> None:
@@ -110,6 +116,16 @@ class Link:
     def connect(self, receive: ReceiveFn) -> None:
         """Set the far-side receive handler (done by the topology builder)."""
         self._receive = receive
+
+    def track_utilization(self) -> None:
+        """Attach a rate estimator so :meth:`utilization` can be read.
+
+        Readers call this while wiring, before traffic starts (the
+        estimator sees only packets sent after it is attached); a second
+        call keeps the existing estimator.
+        """
+        if self.dre is None:
+            self.dre = DiscountingRateEstimator(self.rate_bps)
 
     # ------------------------------------------------------------------
     # Data path
@@ -160,7 +176,9 @@ class Link:
         size = packet.size
         end = start + size * 8.0 / self.rate_bps
         self._free_at = end
-        self.dre.record(size, start)
+        dre = self.dre
+        if dre is not None:
+            dre.record(size, start)
         event = sim.at(end + self.delay_s, self._deliver, packet)
         pending.append((start, end, event))
         return True
@@ -246,7 +264,8 @@ class Link:
             flushed += 1
         self.flushed_packets += flushed
         # Their serializations will never happen.
-        self.dre.drop_pending_after(now)
+        if self.dre is not None:
+            self.dre.drop_pending_after(now)
         self._free_at = now
         if self._tel_events is not None:
             self._tel_events.emit("link.down", now,
@@ -272,7 +291,9 @@ class Link:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
         self.rate_bps = rate_bps
-        self.dre.rate_bps = rate_bps
+        dre = self.dre
+        if dre is not None:
+            dre.rate_bps = rate_bps
         pending = self._meta
         if not pending:
             return
@@ -280,7 +301,8 @@ class Link:
         now = sim.now
         # Apply queued DRE samples before their start times move (rare
         # chaos-only path; keeps the estimator's timeline monotonic).
-        self.dre.flush_pending()
+        if dre is not None:
+            dre.flush_pending()
         rebuilt: Deque[Tuple[float, float, Event]] = deque()
         prev_end: Optional[float] = None
         items: List[Tuple[Packet, float]] = list(self.queue._items)
@@ -317,8 +339,19 @@ class Link:
     # Telemetry
     # ------------------------------------------------------------------
     def utilization(self) -> float:
-        """Instantaneous DRE-estimated utilization (0..~1)."""
-        return self.dre.utilization(self.sim.now)
+        """Instantaneous DRE-estimated utilization (0..~1).
+
+        Raises ``RuntimeError`` on a link nobody registered with
+        :meth:`track_utilization` — an untracked link has no estimate, and
+        a silent 0.0 would read as an idle link.
+        """
+        dre = self.dre
+        if dre is None:
+            raise RuntimeError(
+                f"link {self.name} does not track utilization; call "
+                f"track_utilization() while wiring, before traffic starts"
+            )
+        return dre.utilization(self.sim.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"

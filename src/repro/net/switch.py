@@ -12,10 +12,21 @@ hardware:
   primitive Clove's encapsulation-header traceroute builds on.
 * **ECN marking** — performed by the egress queues (:mod:`repro.net.queue`).
 * **INT stamping** — when a packet requests telemetry, the switch folds the
-  egress link's DRE utilization into ``int_max_util`` (Clove-INT).
+  egress link's DRE utilization into ``int_max_util`` (Clove-INT).  An
+  INT-capable switch registers its egress links for utilization tracking
+  as routes are installed.
 
 Switches intended to run CONGA subclass this and override
 :meth:`select_port`; everything else is shared.
+
+The base switch's egress choice is a pure function of the routed 5-tuple
+and the up/down state of the group's links, so it keeps a *forwarding
+memo* (route key -> egress link) that :meth:`receive` consults first: a
+hit costs one dict lookup instead of the group lookup, live-member filter
+and hash.  The memo is cleared whenever any link's up flag flips
+(``Link.state_gen``) or a route changes, and is not used by subclasses
+that override the egress choice (CONGA, LetFlow) or while a non-zero
+``failover_delay`` makes liveness depend on time.
 """
 
 from __future__ import annotations
@@ -59,10 +70,16 @@ class Switch:
         #: dead member is blackholed — the regime edge-based path health
         #: monitoring (repro.core.health) exists to fix.
         self.failover_delay = 0.0
-        #: dst_ip -> (live member list, Link.state_gen it was computed at);
-        #: bypassed entirely while ``failover_delay`` is non-zero (liveness
-        #: is then a function of time, not just of up/down flips)
-        self._live_cache: Dict[int, tuple] = {}
+        #: route key -> egress link, valid at ``Link.state_gen ==
+        #: _memo_gen``; None when a subclass overrides the egress choice
+        cls = type(self)
+        pure = (
+            cls.forward is Switch.forward
+            and cls.select_port is Switch.select_port
+            and cls.on_egress is Switch.on_egress
+        )
+        self._egress_memo: Optional[Dict[FlowKey, Link]] = {} if pure else None
+        self._memo_gen = Link.state_gen
         self.rx_packets = 0
         self.blackholed = 0
         #: packets consumed here because their TTL hit zero
@@ -82,8 +99,13 @@ class Switch:
     # ------------------------------------------------------------------
     def add_route(self, dst_ip: int, links: Sequence[Link]) -> None:
         """Install/replace the ECMP group towards ``dst_ip``."""
-        self.routes[dst_ip] = list(links)
-        self._live_cache.pop(dst_ip, None)
+        group = list(links)
+        self.routes[dst_ip] = group
+        if self._egress_memo is not None:
+            self._egress_memo.clear()
+        if self.int_capable:
+            for link in group:
+                link.track_utilization()
 
     def ingress_handler(self, link_in: Optional[Link]) -> Callable[[Packet], None]:
         """Return the receive callback for packets arriving over ``link_in``."""
@@ -108,45 +130,69 @@ class Switch:
                                       dst=packet.route_key.dst_ip)
             self._send_time_exceeded(packet, link_in)
             return
+        # Forwarding memo hit: one dict lookup, then the INT stamp and the
+        # send.  A miss (or a switch that may not memoize) takes forward.
+        memo = self._egress_memo
+        if memo is not None and not self.failover_delay:
+            if self._memo_gen != Link.state_gen:
+                memo.clear()
+                self._memo_gen = Link.state_gen
+            key = packet.outer
+            link_out = memo.get(key if key is not None else packet.inner)
+            if link_out is not None:
+                if self.int_capable and packet.int_enabled:
+                    util = link_out.utilization()
+                    if util > packet.int_max_util:
+                        packet.int_max_util = util
+                link_out.send(packet)
+                return
         self.forward(packet, link_in)
 
     def forward(self, packet: Packet, link_in: Optional[Link]) -> None:
         """Route ``packet`` towards its (outer) destination IP."""
         key = packet.route_key
-        group = self.routes.get(key.dst_ip)
-        if not group:
-            self.blackholed += 1
-            if self._tel_events is not None:
-                self._tel_events.emit("switch.drop", self.sim.now,
-                                      switch=self.name, reason="no_route",
-                                      dst=key.dst_ip)
-            return
-        if self.failover_delay > 0.0:
-            # Stale-group window: a link that died less than failover_delay
-            # ago is still an ECMP member; packets hashed onto it are
-            # dropped at the link (counted on its queue, so chaos blackhole
-            # accounting attributes them to the dead cable).
-            horizon = self.sim.now - self.failover_delay
-            live = [
-                link for link in group
-                if link.up or link.down_since > horizon
-            ]
+        memo = self._egress_memo
+        link_out = None
+        if memo is not None and not self.failover_delay:
+            if self._memo_gen != Link.state_gen:
+                memo.clear()
+                self._memo_gen = Link.state_gen
+            link_out = memo.get(key)
         else:
-            gen = Link.state_gen
-            cached = self._live_cache.get(key.dst_ip)
-            if cached is not None and cached[1] == gen:
-                live = cached[0]
+            memo = None
+        if link_out is None:
+            group = self.routes.get(key.dst_ip)
+            if not group:
+                self.blackholed += 1
+                if self._tel_events is not None:
+                    self._tel_events.emit("switch.drop", self.sim.now,
+                                          switch=self.name, reason="no_route",
+                                          dst=key.dst_ip)
+                return
+            if self.failover_delay > 0.0:
+                # Stale-group window: a link that died less than
+                # failover_delay ago is still an ECMP member; packets hashed
+                # onto it are dropped at the link (counted on its queue, so
+                # chaos blackhole accounting attributes them to the dead
+                # cable).
+                horizon = self.sim.now - self.failover_delay
+                live = [
+                    link for link in group
+                    if link.up or link.down_since > horizon
+                ]
             else:
                 live = [link for link in group if link.up]
-                self._live_cache[key.dst_ip] = (live, gen)
-        if not live:
-            self.blackholed += 1
-            if self._tel_events is not None:
-                self._tel_events.emit("switch.drop", self.sim.now,
-                                      switch=self.name, reason="all_links_down",
-                                      dst=key.dst_ip)
-            return
-        link_out = self.select_port(packet, key, live, link_in)
+            if not live:
+                self.blackholed += 1
+                if self._tel_events is not None:
+                    self._tel_events.emit("switch.drop", self.sim.now,
+                                          switch=self.name,
+                                          reason="all_links_down",
+                                          dst=key.dst_ip)
+                return
+            link_out = self.select_port(packet, key, live, link_in)
+            if memo is not None:
+                memo[key] = link_out
         if self.int_capable and packet.int_enabled:
             util = link_out.utilization()
             if util > packet.int_max_util:

@@ -91,6 +91,50 @@ class TestRunExperiment:
         assert all(h.prober is None for h in result.hosts.values())
 
 
+def _tracked(net):
+    """Names of the links carrying a rate estimator."""
+    return {link.name for link in net.all_links() if link.dre is not None}
+
+
+def _switch_egress(net):
+    """Names of every link leaving a switch."""
+    return {
+        link.name
+        for (src, _dst), group in net.links.items()
+        if src in net.switches
+        for link in group
+    }
+
+
+class TestUtilizationTracking:
+    """A DRE sits on exactly the links something reads."""
+
+    @pytest.mark.parametrize("scheme", ["ecmp", "clove-ecn", "mptcp"])
+    def test_no_reader_no_estimator(self, scheme):
+        result = run_experiment(_quick(scheme, jobs_per_client=2))
+        assert _tracked(result.net) == set()
+
+    @pytest.mark.parametrize("scheme", ["clove-int", "conga"])
+    def test_in_network_readers_track_switch_egress(self, scheme):
+        result = run_experiment(_quick(scheme, jobs_per_client=2))
+        egress = _switch_egress(result.net)
+        assert egress and _tracked(result.net) == egress
+
+    def test_telemetry_tracks_every_link(self):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        result = run_experiment(_quick("clove-ecn", jobs_per_client=2),
+                                telemetry=telemetry)
+        net = result.net
+        assert _tracked(net) == {link.name for link in net.all_links()}
+        gauges = [
+            name for name in telemetry.registry.snapshot()["gauges"]
+            if name.startswith("link.utilization{")
+        ]
+        assert len(gauges) == len(net.all_links())
+
+
 class TestEstimateRtt:
     def test_positive_and_small(self):
         rtt = estimate_rtt(default_topology())

@@ -17,6 +17,7 @@ from repro.harness.figures import (
     fig9,
     fig9_percentiles,
 )
+from repro.harness import experiment
 from repro.harness.incast import run_incast
 
 TINY = FigureQuality(loads=(0.3,), seeds=(1,), jobs_per_client=4)
@@ -103,3 +104,56 @@ class TestIncastHarness:
         a = run_incast("clove-ecn", fanout=2, n_requests=2, total_bytes=200_000)
         b = run_incast("clove-ecn", fanout=2, n_requests=2, total_bytes=200_000)
         assert a == pytest.approx(b)
+
+
+def _capture_fabric(monkeypatch):
+    """Record every fabric the scheme wiring builds."""
+    built = []
+    build = experiment.build_leaf_spine
+
+    def capture(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "build_leaf_spine", capture)
+    return built
+
+
+class TestIncastSchemeWiring:
+    """Incast runs on the same per-scheme switches as run_experiment."""
+
+    def test_clove_int_incast_carries_int_utilization(self, monkeypatch):
+        from repro.core.clove import CloveIntPolicy
+
+        built = _capture_fabric(monkeypatch)
+        utils = []
+        on_feedback = CloveIntPolicy.on_path_feedback
+
+        def record(policy, feedback, now):
+            if feedback.util is not None:
+                utils.append(feedback.util)
+            on_feedback(policy, feedback, now)
+
+        monkeypatch.setattr(CloveIntPolicy, "on_path_feedback", record)
+        run_incast("clove-int", fanout=4, n_requests=2, total_bytes=400_000)
+        (net,) = built
+        assert all(switch.int_capable for switch in net.switches.values())
+        tracked = {link.name for link in net.all_links() if link.dre is not None}
+        egress = {
+            link.name
+            for (src, _dst), group in net.links.items()
+            if src in net.switches
+            for link in group
+        }
+        assert tracked == egress
+        assert utils and max(utils) > 0.0
+
+    def test_conga_incast_runs_on_conga_switches(self, monkeypatch):
+        from repro.baselines.conga import CongaLeafSwitch
+
+        built = _capture_fabric(monkeypatch)
+        goodput = run_incast("conga", fanout=2, n_requests=2, total_bytes=200_000)
+        (net,) = built
+        assert goodput > 0
+        leaf = net.switches["L1"]
+        assert isinstance(leaf, CongaLeafSwitch) and leaf.uplinks

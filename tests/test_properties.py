@@ -10,8 +10,11 @@ from repro.core.weights import WeightedPathTable
 from repro.metrics.collector import percentile
 from repro.net.dre import DiscountingRateEstimator
 from repro.net.hashing import EcmpHasher
+from repro.net.link import Link
 from repro.net.packet import FlowKey
 from repro.net.queue import DropTailQueue, Packet
+from repro.net.switch import Switch
+from repro.sim.engine import Simulator
 from repro.workloads.distributions import EmpiricalCdf
 import random
 
@@ -143,6 +146,101 @@ class TestDreProperties:
             assert dre.utilization(now) >= 0.0
         later = dre.utilization(now + 0.1)
         assert later <= dre.utilization(now) + 1e-12
+
+
+class _TapLink(Link):
+    """A link that records the packets handed to it instead of sending."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name, rate_bps=1e9, delay_s=0.0)
+        self.sent = []
+
+    def send(self, packet):
+        self.sent.append(packet)
+        return True
+
+
+_N_LINKS = 4
+_DSTS = (101, 102, 103)
+_route_keys = [
+    FlowKey(7, dst, sport, 7471) for dst in _DSTS for sport in (1000, 1001, 2024, 40000)
+]
+_switch_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("fail"), st.integers(0, _N_LINKS - 1)),
+        st.tuples(st.just("recover"), st.integers(0, _N_LINKS - 1)),
+        st.tuples(st.just("route"), st.sampled_from(_DSTS),
+                  st.lists(st.integers(0, _N_LINKS - 1), max_size=_N_LINKS)),
+        st.tuples(st.just("delay"), st.sampled_from([0.0, 0.0, 1e-3])),
+        st.tuples(st.just("tick"), st.sampled_from([1e-4, 2e-3])),
+    ),
+    max_size=25,
+)
+
+
+class TestForwardingMemoProperties:
+    """The per-switch forwarding memo is invisible: every hop leaves on the
+    link a fresh ECMP computation over the live group would pick."""
+
+    @staticmethod
+    def _reference(switch, key):
+        group = switch.routes.get(key.dst_ip)
+        if not group:
+            return None
+        horizon = switch.sim.now - switch.failover_delay
+        live = [link for link in group if link.up or link.down_since > horizon]
+        if not live:
+            return None
+        return live[switch.hasher.select(key, len(live))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_switch_ops, st.integers(0, 2**32))
+    def test_memoized_egress_matches_reference(self, ops, seed):
+        sim = Simulator()
+        links = [_TapLink(sim, f"l{i}") for i in range(_N_LINKS)]
+        switch = Switch(sim, "S", ip=1, hash_seed=seed)
+        for dst in _DSTS:
+            switch.add_route(dst, links)
+        for step, op in enumerate(ops):
+            kind = op[0]
+            if kind == "fail":
+                links[op[1]].fail()
+            elif kind == "recover":
+                links[op[1]].recover()
+            elif kind == "route":
+                switch.add_route(op[1], [links[i] for i in op[2]])
+            elif kind == "delay":
+                switch.failover_delay = op[1]
+            else:
+                sim.run(until=sim.now + op[1])
+            # Both entry points consult the memo; alternate which one sees
+            # the new link state first.
+            entries = (switch.receive, switch.forward)
+            if step % 2:
+                entries = entries[::-1]
+            for key in _route_keys:
+                expected = self._reference(switch, key)
+                for entry in entries:
+                    # An equal but distinct key must hit the same entry.
+                    packet = Packet(FlowKey(*key.as_tuple()), payload_bytes=10)
+                    before = switch.blackholed
+                    entry(packet, None)
+                    if expected is None:
+                        assert switch.blackholed == before + 1
+                        assert all(packet not in link.sent for link in links)
+                        continue
+                    assert expected.sent and expected.sent[-1] is packet
+                    if not switch.failover_delay:
+                        assert switch._egress_memo[key] is expected
+
+    def test_in_switch_balancers_bypass_the_memo(self):
+        from repro.baselines.conga import CongaLeafSwitch, CongaSpineSwitch
+        from repro.baselines.letflow import LetFlowSwitch
+
+        sim = Simulator()
+        for cls in (CongaLeafSwitch, CongaSpineSwitch, LetFlowSwitch):
+            assert cls(sim, "X", ip=1, hash_seed=3)._egress_memo is None
+        assert Switch(sim, "X", ip=1, hash_seed=3)._egress_memo == {}
 
 
 class TestDisjointSelectionProperties:

@@ -136,10 +136,39 @@ class TestLink:
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
         link.connect(lambda p: None)
+        link.track_utilization()
         for _ in range(50):
             link.send(_packet())
         sim.run(until=1e-5)
         assert link.utilization() > 0.0
+
+    def test_untracked_link_has_no_utilization(self):
+        sim = Simulator()
+        link = Link(sim, "L1->S1#0", rate_bps=1e9, delay_s=0.0)
+        link.connect(lambda p: None)
+        link.send(_packet())
+        assert link.dre is None
+        with pytest.raises(RuntimeError, match=r"L1->S1#0"):
+            link.utilization()
+
+    def test_track_utilization_twice_keeps_the_estimator(self):
+        sim = Simulator()
+        link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
+        link.track_utilization()
+        dre = link.dre
+        link.track_utilization()
+        assert link.dre is dre
+
+    def test_untracked_link_fails_and_rescales(self):
+        sim = Simulator()
+        link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
+        link.connect(lambda p: None)
+        for _ in range(3):
+            link.send(_packet())
+        link.set_rate(5e8)
+        # The first packet is serializing; the two waiting ones are flushed.
+        assert link.fail() == 2
+        assert link.dre is None
 
     def test_invalid_params(self):
         sim = Simulator()

@@ -177,3 +177,34 @@ class TestCloveEcnEndToEnd:
         connection.start_flow(3_000_000, lambda: None)
         sim.run(until=1.0)
         assert policy.weights.weight_reductions > 0
+
+
+class TestProbeKeyInterning:
+    def test_probe_route_key_is_the_data_outer_key(self):
+        """Discovery and health probes reuse the vswitch's interned outer
+        key, so switch tables see one object per (destination, port)."""
+        from repro.harness.experiment import ExperimentConfig, run_experiment
+
+        probes, data = {}, {}
+
+        def tap(sim, net, hosts):
+            for host in hosts.values():
+                def nic_send(packet, _send=host.nic_send):
+                    key = packet.route_key
+                    if "probe" in packet.meta:
+                        probes.setdefault((key.src_ip, key.dst_ip, key.src_port), []).append(key)
+                    elif packet.outer is not None:
+                        data.setdefault((key.src_ip, key.dst_ip, key.src_port), key)
+                    _send(packet)
+                host.nic_send = nic_send
+
+        run_experiment(
+            ExperimentConfig(scheme="clove-ecn", load=0.4, seed=5, jobs_per_client=4,
+                             clients_per_leaf=2, connections_per_client=1,
+                             health=True),
+            on_ready=tap,
+        )
+        shared = set(probes) & set(data)
+        assert shared
+        for path in shared:
+            assert all(key is data[path] for key in probes[path])
