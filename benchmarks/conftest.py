@@ -11,7 +11,6 @@ Set ``REPRO_BENCH_QUALITY=full`` for paper-grade statistics (slower).
 
 import os
 
-
 from repro.harness.figures import FigureQuality
 
 FULL = os.environ.get("REPRO_BENCH_QUALITY", "quick") == "full"
@@ -37,14 +36,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an expensive figure function exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
-
-def print_series(title: str, series, scale=1000.0, unit="ms"):
-    print(f"\n=== {title} ===")
-    loads = [l for l, _ in next(iter(series.values()))]
-    header = f"{'load':>6} " + " ".join(f"{s:>22}" for s in series)
-    print(header)
-    for i, load in enumerate(loads):
-        row = f"{load:>6.2f} "
-        row += " ".join(f"{series[s][i][1] * scale:>22.3f}" for s in series)
-        print(row)
-    print(f"(values in {unit})")

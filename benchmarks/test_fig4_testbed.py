@@ -8,13 +8,15 @@ Paper reference points (testbed, 160G bisection, web-search workload):
     weights; Edge-Flowlet 4.2x better than ECMP at 80%.
 """
 
-from benchmarks.conftest import bench_quality, print_series, run_once
+from benchmarks.conftest import bench_quality, run_once
 from repro.harness.figures import fig4b, fig4c
+from repro.harness.report import render_table
 
 
 def test_fig4b_symmetric(benchmark):
     series = run_once(benchmark, fig4b, bench_quality())
-    print_series("Figure 4b: symmetric testbed, avg FCT", series)
+    print("\n=== Figure 4b: symmetric testbed, avg FCT ===")
+    print(render_table(series))
     assert set(series) == {"ecmp", "edge-flowlet", "clove-ecn", "mptcp", "presto"}
     for points in series.values():
         assert all(v > 0 for _l, v in points)
@@ -22,7 +24,8 @@ def test_fig4b_symmetric(benchmark):
 
 def test_fig4c_asymmetric(benchmark):
     series = run_once(benchmark, fig4c, bench_quality())
-    print_series("Figure 4c: asymmetric testbed (S2-L2 cable down), avg FCT", series)
+    print("\n=== Figure 4c: asymmetric testbed (S2-L2 cable down), avg FCT ===")
+    print(render_table(series))
     # Shape check at the highest load: Clove-ECN must not lose to ECMP.
     top = max(l for l, _v in series["ecmp"])
     ecmp = dict(series["ecmp"])[top]

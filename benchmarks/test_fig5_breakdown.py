@@ -14,8 +14,9 @@ every bucket's statistics.
 """
 
 
-from benchmarks.conftest import bench_quality, print_series, run_once
+from benchmarks.conftest import bench_quality, run_once
 from repro.harness.figures import fig5_all
+from repro.harness.report import render_table
 
 _panels = {}
 
@@ -30,14 +31,16 @@ def _get_panels(benchmark):
 
 def test_fig5a_mice(benchmark):
     series = _get_panels(benchmark)["mice"]
-    print_series("Figure 5a: asymmetric, avg FCT of <100KB flows", series)
+    print("\n=== Figure 5a: asymmetric, avg FCT of <100KB flows ===")
+    print(render_table(series))
     for points in series.values():
         assert all(v > 0 for _l, v in points)
 
 
 def test_fig5b_elephants(benchmark):
     series = _get_panels(benchmark)["elephants"]
-    print_series("Figure 5b: asymmetric, avg FCT of >10MB flows", series)
+    print("\n=== Figure 5b: asymmetric, avg FCT of >10MB flows ===")
+    print(render_table(series))
     for points in series.values():
         assert all(v > 0 for _l, v in points)
     # Elephants take longer than mice at every point.
@@ -49,7 +52,8 @@ def test_fig5b_elephants(benchmark):
 
 def test_fig5c_p99(benchmark):
     series = _get_panels(benchmark)["p99"]
-    print_series("Figure 5c: asymmetric, 99th percentile FCT", series)
+    print("\n=== Figure 5c: asymmetric, 99th percentile FCT ===")
+    print(render_table(series))
     # Tail ordering: Clove's p99 must beat MPTCP's at the top load (the
     # paper's standout result - static subflow mapping hurts MPTCP's tail).
     top = max(l for l, _v in series["clove-ecn"])

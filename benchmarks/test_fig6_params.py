@@ -6,13 +6,15 @@ threshold = 20 packets).  A 0.2xRTT gap behaves like per-packet spraying
 collisions; a 40-packet ECN threshold reacts too slowly (~4x at 80% load).
 """
 
-from benchmarks.conftest import bench_quality, print_series, run_once
+from benchmarks.conftest import bench_quality, run_once
 from repro.harness.figures import fig6
+from repro.harness.report import render_table
 
 
 def test_fig6_parameter_sensitivity(benchmark):
     series = run_once(benchmark, fig6, bench_quality())
-    print_series("Figure 6: Clove-ECN parameter sensitivity", series)
+    print("\n=== Figure 6: Clove-ECN parameter sensitivity ===")
+    print(render_table(series))
     assert len(series) == 4
     # The paper-recommended setting should be at least competitive with the
     # mis-tuned variants at the highest load.

@@ -11,13 +11,15 @@ Paper reference points (NS2, same topology):
 
 import math
 
-from benchmarks.conftest import bench_quality, print_series, run_once
+from benchmarks.conftest import bench_quality, run_once
 from repro.harness.figures import capture_ratios, fig8a, fig8b
+from repro.harness.report import render_table
 
 
 def test_fig8a_symmetric(benchmark):
     series = run_once(benchmark, fig8a, bench_quality())
-    print_series("Figure 8a: simulation, symmetric, avg FCT", series)
+    print("\n=== Figure 8a: simulation, symmetric, avg FCT ===")
+    print(render_table(series))
     assert set(series) == {"ecmp", "edge-flowlet", "clove-ecn", "clove-int", "conga"}
 
 
@@ -34,7 +36,8 @@ def _cached_fig8b(benchmark):
 
 def test_fig8b_asymmetric(benchmark):
     series = _cached_fig8b(benchmark)
-    print_series("Figure 8b: simulation, asymmetric, avg FCT", series)
+    print("\n=== Figure 8b: simulation, asymmetric, avg FCT ===")
+    print(render_table(series))
     top = max(l for l, _v in series["ecmp"])
     ecmp = dict(series["ecmp"])[top]
     clove = dict(series["clove-ecn"])[top]

@@ -15,7 +15,8 @@ import sys
 import time
 
 from repro.harness.experiment import ExperimentConfig
-from repro.harness.sweep import format_series_table, sweep_loads
+from repro.harness.report import render_table
+from repro.harness.sweep import sweep_loads
 from repro.runner import ResultCache, RunnerConfig
 
 SCHEMES = ("ecmp", "clove-ecn")
@@ -34,7 +35,7 @@ def main() -> None:
     start = time.perf_counter()
     series = sweep_loads(base, SCHEMES, LOADS, seeds=SEEDS, runner=runner)
     cold_s = time.perf_counter() - start
-    print(format_series_table(series, scale=1000.0, metric_name="avg FCT (ms)"))
+    print(render_table(series))
     print(f"cold pass: {cold_s:.1f}s")
 
     start = time.perf_counter()

@@ -38,6 +38,7 @@ from repro.harness import (
     SCHEMES,
     run_experiment,
     estimate_rtt,
+    run_grid,
     sweep_loads,
 )
 from repro.hypervisor import Host, LoadBalancer, VSwitch
@@ -67,6 +68,7 @@ __all__ = [
     "SCHEMES",
     "run_experiment",
     "estimate_rtt",
+    "run_grid",
     "sweep_loads",
     "Host",
     "LoadBalancer",

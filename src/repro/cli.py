@@ -30,11 +30,11 @@ Subcommands:
 ``run``, ``sweep`` and ``figure`` accept ``--chaos FILE`` (a serialized
 :class:`~repro.chaos.plan.FaultPlan`) or ``--chaos-preset NAME`` to inject
 faults mid-run; ``run`` then also reports time-to-recover and fault-window
-FCT inflation (:mod:`repro.chaos.metrics`).  They also accept
-``--audit strict|report`` to run under the invariant auditor.
+FCT inflation (:mod:`repro.chaos.metrics`).  ``run`` and ``sweep`` also
+accept ``--audit strict|report`` to run under the invariant auditor.
 
-``run``, ``sweep`` and ``incast`` take ``-j/--jobs`` (parallel worker
-processes) and ``--cache-dir`` (resumable result cache) — the
+``run``, ``sweep``, ``figure`` and ``incast`` take ``-j/--jobs`` (parallel
+worker processes) and ``--cache-dir`` (resumable result cache) — the
 :mod:`repro.runner` execution layer.
 """
 
@@ -57,6 +57,7 @@ from repro.audit import (
     digest_events,
 )
 from repro.chaos import FaultPlan, iter_presets, preset
+from repro.harness import figures
 from repro.harness.experiment import ExperimentConfig, SCHEMES
 from repro.harness.report import render_bar_chart, render_cdf, render_table
 from repro.harness.sweep import sweep_loads
@@ -144,16 +145,15 @@ def _finish_telemetry(tel: Optional[Telemetry], args) -> None:
         print(tel.profiler.format_summary(), file=sys.stderr)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_point_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--load", type=float, default=0.7,
                         help="offered load as a fraction of bisection bandwidth")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs-per-client", type=int, default=150,
                         help="jobs per client (run horizon)")
-    parser.add_argument("--asymmetric", action="store_true",
-                        help="fail one S2-L2 cable (the paper's scenario)")
-    parser.add_argument("--flow-scale", type=float, default=0.1,
-                        help="flow-size scale vs the paper's web-search CDF")
+
+
+def _add_chaos_opts(parser: argparse.ArgumentParser) -> None:
     chaos = parser.add_mutually_exclusive_group()
     chaos.add_argument("--chaos", metavar="FILE", default=None,
                        help="inject the FaultPlan serialized in FILE (JSON); "
@@ -161,6 +161,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     chaos.add_argument("--chaos-preset", metavar="NAME", default=None,
                        help="inject a named built-in fault plan "
                             "(`repro chaos presets` lists them)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_point_opts(parser)
+    parser.add_argument("--asymmetric", action="store_true",
+                        help="fail one S2-L2 cable (the paper's scenario)")
+    parser.add_argument("--flow-scale", type=float, default=0.1,
+                        help="flow-size scale vs the paper's web-search CDF")
+    _add_chaos_opts(parser)
     parser.add_argument("--health", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="run the per-hypervisor path health monitor "
@@ -332,40 +341,44 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _grid_figure(driver, panel: Optional[str] = None):
+    """A ``repro figure`` entry rendering one grid driver's table
+    (``panel`` picks one of a multi-panel driver's series)."""
+    def render(args, quality: figures.FigureQuality, runner: RunnerConfig) -> str:
+        series = driver(quality, runner=runner)
+        return render_table(series if panel is None else series[panel])
+    return render
+
+
+def _fig9(args, quality: figures.FigureQuality, runner: RunnerConfig) -> str:
+    return render_cdf(figures.fig9(load=args.load, seed=args.seed,
+                                   jobs_per_client=args.jobs_per_client,
+                                   chaos=quality.chaos))
+
+
+#: ``repro figure`` name -> renderer(args, quality, runner) -> table text
+FIGURES = {
+    "fig4b": _grid_figure(figures.fig4b),
+    "fig4c": _grid_figure(figures.fig4c),
+    "fig5a": _grid_figure(figures.fig5_all, "mice"),
+    "fig5b": _grid_figure(figures.fig5_all, "elephants"),
+    "fig5c": _grid_figure(figures.fig5_all, "p99"),
+    "fig6": _grid_figure(figures.fig6),
+    "fig8a": _grid_figure(figures.fig8a),
+    "fig8b": _grid_figure(figures.fig8b),
+    "fig9": _fig9,
+}
+
+
 def cmd_figure(args) -> int:
     """Handle ``repro figure``: regenerate one paper figure."""
-    from repro.harness import figures
-    from repro.harness.figures import FigureQuality
-
-    quality = FigureQuality(
+    quality = figures.FigureQuality(
         loads=tuple(float(x) for x in args.loads.split(",")),
         seeds=tuple(args.seed + i for i in range(args.n_seeds)),
         jobs_per_client=args.jobs_per_client,
         chaos=_chaos_plan(args),
     )
-    runner = _make_runner(args)
-    name = args.name
-    if name == "fig4b":
-        print(render_table(figures.fig4b(quality, runner=runner)))
-    elif name == "fig4c":
-        print(render_table(figures.fig4c(quality, runner=runner)))
-    elif name in ("fig5a", "fig5b", "fig5c"):
-        kind = {"fig5a": "mice", "fig5b": "elephants", "fig5c": "p99"}[name]
-        print(render_table(figures.fig5(kind, quality, runner=runner)))
-    elif name == "fig6":
-        print(render_table(figures.fig6(quality, runner=runner)))
-    elif name == "fig8a":
-        print(render_table(figures.fig8a(quality, runner=runner)))
-    elif name == "fig8b":
-        print(render_table(figures.fig8b(quality, runner=runner)))
-    elif name == "fig9":
-        cdfs = figures.fig9(load=args.load, seed=args.seed,
-                            jobs_per_client=args.jobs_per_client,
-                            chaos=quality.chaos)
-        print(render_cdf(cdfs))
-    else:
-        print(f"unknown figure {name!r}", file=sys.stderr)
-        return 2
+    print(FIGURES[args.name](args, quality, _make_runner(args)))
     return 0
 
 
@@ -776,10 +789,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep, scheme="ecmp")
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
-    p_fig.add_argument("name", help="fig4b|fig4c|fig5a|fig5b|fig5c|fig6|fig8a|fig8b|fig9")
+    p_fig.add_argument("name", choices=FIGURES)
     p_fig.add_argument("--loads", default="0.3,0.5,0.7")
     p_fig.add_argument("--n-seeds", type=int, default=1)
-    _add_common(p_fig)
+    _add_point_opts(p_fig)
+    _add_chaos_opts(p_fig)
     _add_runner_opts(p_fig)
     p_fig.set_defaults(fn=cmd_figure)
 

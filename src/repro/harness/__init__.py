@@ -1,4 +1,4 @@
-"""Experiment assembly, load sweeps and per-figure tables."""
+"""Experiment assembly, grids (one fold: ``run_grid``) and per-figure tables."""
 
 from repro.harness.experiment import (
     ExperimentConfig,
@@ -7,7 +7,7 @@ from repro.harness.experiment import (
     run_experiment,
     estimate_rtt,
 )
-from repro.harness.sweep import sweep_loads, average_over_seeds
+from repro.harness.sweep import average_over_seeds, run_grid, sweep_loads
 
 __all__ = [
     "ExperimentConfig",
@@ -15,6 +15,7 @@ __all__ = [
     "SCHEMES",
     "run_experiment",
     "estimate_rtt",
+    "run_grid",
     "sweep_loads",
     "average_over_seeds",
 ]

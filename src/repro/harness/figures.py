@@ -5,11 +5,11 @@ Each returns the figure's data series and can render the text table the
 benchmarks print.  Quality knobs (loads, seeds, jobs per client) default to
 CI-speed settings; pass larger values to approach the paper's statistics.
 
-Every grid-shaped figure accepts ``runner=RunnerConfig(...)`` and executes
-through :mod:`repro.runner`, so a figure regenerates on parallel workers
-and resumes from a result cache (``fig9`` is the exception: it needs each
-run's full FCT distribution, which the scalar cache payload does not
-carry, so it stays in-process).
+Every grid-shaped figure (4b-8b) is one :func:`~repro.harness.sweep.run_grid`
+call: it accepts ``runner=RunnerConfig(...)``, so a figure regenerates on
+parallel workers and resumes from a result cache.  ``fig9`` is the
+exception: it needs each run's full FCT distribution, which the scalar
+cache payload does not carry, so it stays in-process.
 
 The experiment index in DESIGN.md maps each function to its paper figure;
 EXPERIMENTS.md records paper-vs-measured values.
@@ -23,13 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.chaos.plan import FaultPlan
 from repro.harness.experiment import (
     ExperimentConfig,
-    ExperimentResult,
     default_topology,
     run_experiment,
 )
 from repro.harness.metrics import ELEPHANT_CUTOFF_BYTES, MICE_CUTOFF_BYTES
-from repro.harness.sweep import _mean_metric, sweep_loads
-from repro.runner import JobSpec, RunnerConfig, run_jobs
+from repro.harness.report import Series
+from repro.harness.sweep import run_grid, sweep_loads
+from repro.runner import JobSpec, RunnerConfig
 
 #: schemes of the testbed comparison (Figures 4-6)
 TESTBED_SCHEMES = ("ecmp", "edge-flowlet", "clove-ecn", "mptcp", "presto")
@@ -44,7 +44,6 @@ __all__ = [
     "FigureQuality",
     "fig4b",
     "fig4c",
-    "fig5",
     "fig5_all",
     "fig6",
     "fig7",
@@ -71,9 +70,6 @@ class FigureQuality:
         """An ExperimentConfig carrying this quality's job count."""
         overrides.setdefault("chaos", self.chaos)
         return ExperimentConfig(jobs_per_client=self.jobs_per_client, **overrides)
-
-
-Series = Dict[str, List[Tuple[float, float]]]
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +100,7 @@ def fig4c(
 # ----------------------------------------------------------------------
 # Figure 5 — FCT breakdown under asymmetry
 # ----------------------------------------------------------------------
+#: Figure 5 panel -> the payload key it plots
 _BUCKET_KEYS = {
     "mice": "mice_avg_fct",
     "elephants": "elephant_avg_fct",
@@ -111,71 +108,23 @@ _BUCKET_KEYS = {
 }
 
 
-def _bucket_metric(kind: str):
-    def metric(result: ExperimentResult) -> float:
-        scale = result.config.flow_scale
-        if kind == "mice":
-            summary = result.collector.summary(max_size=int(MICE_CUTOFF_BYTES * scale))
-            return summary.mean if summary else float("nan")
-        if kind == "elephants":
-            summary = result.collector.summary(
-                min_size=int(ELEPHANT_CUTOFF_BYTES * scale)
-            )
-            return summary.mean if summary else float("nan")
-        summary = result.collector.summary()
-        return summary.p99 if summary else float("nan")
-    metric.metric_key = _BUCKET_KEYS[kind]
-    return metric
-
-
-def fig5(
-    kind: str,
-    quality: Optional[FigureQuality] = None,
-    runner: Optional[RunnerConfig] = None,
-) -> Series:
-    """FCT breakdown on the asymmetric testbed.
-
-    ``kind``: "mice" (Fig 5a, <100KB flows), "elephants" (Fig 5b, >10MB
-    flows) or "p99" (Fig 5c, 99th-percentile FCT).
-    """
-    if kind not in ("mice", "elephants", "p99"):
-        raise ValueError(f"unknown breakdown {kind!r}")
-    q = quality or FigureQuality()
-    return sweep_loads(
-        q.base(asymmetric=True), TESTBED_SCHEMES, q.loads, q.seeds,
-        metric=_bucket_metric(kind), runner=runner,
-    )
-
-
 def fig5_all(
     quality: Optional[FigureQuality] = None,
     runner: Optional[RunnerConfig] = None,
 ) -> Dict[str, Series]:
-    """All three Figure 5 panels from ONE sweep (each run's payload carries
-    every bucket's statistics, so re-sweeping per panel would triple the
-    cost)."""
+    """FCT breakdown on the asymmetric testbed, all three panels from one
+    grid: "mice" (Fig 5a, <100KB flows), "elephants" (Fig 5b, >10MB flows)
+    and "p99" (Fig 5c, 99th-percentile FCT).  Each run's payload carries
+    every bucket's statistics, so one grid serves all three panels."""
     q = quality or FigureQuality()
-    specs = [
-        JobSpec.experiment(
+    grid = run_grid(
+        lambda scheme, load, seed: JobSpec.experiment(
             q.base(scheme=scheme, asymmetric=True, load=load, seed=seed)
-        )
-        for scheme in TESTBED_SCHEMES
-        for load in q.loads
-        for seed in q.seeds
-    ]
-    results = run_jobs(specs, runner=runner)
-    panels: Dict[str, Series] = {kind: {} for kind in _BUCKET_KEYS}
-    index = 0
-    for scheme in TESTBED_SCHEMES:
-        points: Dict[str, List[Tuple[float, float]]] = {k: [] for k in _BUCKET_KEYS}
-        for load in q.loads:
-            chunk = results[index:index + len(q.seeds)]
-            index += len(q.seeds)
-            for kind, key in _BUCKET_KEYS.items():
-                points[kind].append((load, _mean_metric(chunk, key)))
-        for kind in _BUCKET_KEYS:
-            panels[kind][scheme] = points[kind]
-    return panels
+        ),
+        TESTBED_SCHEMES, q.loads, q.seeds, list(_BUCKET_KEYS.values()),
+        runner=runner,
+    )
+    return {kind: grid[key] for kind, key in _BUCKET_KEYS.items()}
 
 
 # ----------------------------------------------------------------------
@@ -198,8 +147,10 @@ def fig6(
         "clove(1RTT,40p)": (1.0, 40),
     }
     topo = default_topology()
-    specs = [
-        JobSpec.experiment(
+
+    def job(label: str, load: float, seed: int) -> JobSpec:
+        gap_rtt, threshold = variants[label]
+        return JobSpec.experiment(
             q.base(
                 scheme="clove-ecn",
                 asymmetric=True,
@@ -210,21 +161,10 @@ def fig6(
             ),
             label=f"{label} load={load:g} seed={seed}",
         )
-        for label, (gap_rtt, threshold) in variants.items()
-        for load in q.loads
-        for seed in q.seeds
-    ]
-    results = run_jobs(specs, runner=runner)
-    series: Series = {}
-    index = 0
-    for label in variants:
-        points = []
-        for load in q.loads:
-            chunk = results[index:index + len(q.seeds)]
-            index += len(q.seeds)
-            points.append((load, _mean_metric(chunk, "avg_fct")))
-        series[label] = points
-    return series
+
+    return run_grid(
+        job, list(variants), q.loads, q.seeds, ["avg_fct"], runner=runner
+    )["avg_fct"]
 
 
 # ----------------------------------------------------------------------
@@ -242,27 +182,15 @@ def fig7(
     The paper requests 10MB split over ``n`` servers per round; the default
     here scales the request to 1MB for CI speed (same fan-in dynamics).
     """
-    schemes = ("clove-ecn", "edge-flowlet", "mptcp")
-    specs = [
-        JobSpec.incast(
-            scheme=scheme, fanout=fanout, seed=seed,
+    return run_grid(
+        lambda scheme, fanout, seed: JobSpec.incast(
+            scheme=scheme, fanout=int(fanout), seed=seed,
             n_requests=n_requests, total_bytes=total_bytes,
-        )
-        for scheme in schemes
-        for fanout in fanouts
-        for seed in seeds
-    ]
-    results = run_jobs(specs, runner=runner)
-    series: Series = {}
-    index = 0
-    for scheme in schemes:
-        points = []
-        for fanout in fanouts:
-            chunk = results[index:index + len(seeds)]
-            index += len(seeds)
-            points.append((float(fanout), _mean_metric(chunk, "goodput_bps")))
-        series[scheme] = points
-    return series
+        ),
+        ("clove-ecn", "edge-flowlet", "mptcp"),
+        [float(fanout) for fanout in fanouts], seeds, ["goodput_bps"],
+        runner=runner,
+    )["goodput_bps"]
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ any figure extracts (overall mean, tail percentiles, the Figure 5 mice /
 elephant buckets) is computed up front, so a cached point can serve any
 figure later without re-running.
 
-Extractors in :mod:`repro.harness.sweep` and :mod:`repro.harness.figures`
-resolve to keys of this payload (see ``metric_key`` there); add a key here
-— and bump :data:`repro.runner.job.SCHEMA_VERSION` — when a new figure
-needs a scalar the payload does not yet carry.
+Grids (:func:`repro.harness.sweep.run_grid`) name their metrics by keys
+of this payload; add a key here — and bump
+:data:`repro.runner.job.SCHEMA_VERSION` — when a new figure needs a scalar
+the payload does not yet carry.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def standard_metrics(result) -> Dict[str, float]:
     """Reduce an :class:`ExperimentResult` to the standard scalar payload.
 
     Empty buckets (no completed jobs, no mice, no elephants) yield NaN for
-    their FCT entries, matching what the in-process extractors return.
+    their FCT entries.
     The ``chaos_*`` keys carry the recovery metrics of the run's fault
     plan (see :mod:`repro.chaos.metrics`) and are NaN on fault-free runs.
     """

@@ -8,12 +8,19 @@ setup, for users willing to spend hours of wall time:
 * :func:`paper_topology` — the full 32-server testbed: 16 x 10G hosts per
   leaf, 2 spines x 2 x 40G cables, 160G bisection;
 * :func:`paper_config` — unscaled web-search flows and the paper's job
-  counts/loads;
-* :func:`run_paper_grid` — a whole paper-scale figure grid through
-  :mod:`repro.runner`, which is the only sane way to run one: points are
-  hours each, so parallel workers plus the resumable result cache
-  (``RunnerConfig(jobs=N, cache_dir=...)``) turn an interrupted
-  multi-day sweep into a continuation instead of a restart.
+  counts/loads.
+
+A whole paper-scale grid is :func:`~repro.harness.sweep.sweep_loads` over a
+:func:`paper_config` base.  Points are hours each, so always pass a runner
+with parallel workers and a result cache: every completed point is banked
+the moment it finishes, and an interrupted multi-day sweep continues
+instead of restarting::
+
+    series = sweep_loads(
+        paper_config("ecmp", 0.5, asymmetric=True),
+        ("ecmp", "clove-ecn"), (0.5, 0.7), seeds=(1, 2, 3),
+        runner=RunnerConfig(jobs=8, cache_dir="paper-cache", progress=True),
+    )
 
 A fully faithful point (one scheme, one load, 50K jobs/connection) is on
 the order of 10^9 simulated packets — run those selectively.
@@ -21,12 +28,7 @@ the order of 10^9 simulated packets — run those selectively.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
 from repro.harness.experiment import ExperimentConfig
-from repro.harness.sweep import MetricSpec, avg_fct, sweep_loads
-from repro.runner import RunnerConfig
-from repro.telemetry import Telemetry
 from repro.topology.leafspine import LeafSpineConfig
 
 
@@ -67,38 +69,6 @@ def paper_config(
         flow_scale=flow_scale,
         connections_per_client=1,       # the testbed's persistent connection
         pairing="random",               # the paper's server choice
-    )
-
-
-def run_paper_grid(
-    schemes: Sequence[str],
-    loads: Sequence[float],
-    seeds: Sequence[int] = (1,),
-    metric: MetricSpec = avg_fct,
-    runner: Optional[RunnerConfig] = None,
-    telemetry: Optional[Telemetry] = None,
-    **point_kwargs,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """A paper-scale scheme x load x seed grid through the runner.
-
-    ``point_kwargs`` forward to :func:`paper_config` (``asymmetric``,
-    ``jobs_per_client``, ``flow_scale``).  Always pass a ``runner`` with a
-    cache dir for grids of this cost — every completed point is banked the
-    moment it finishes, so the grid survives interruption::
-
-        series = run_paper_grid(
-            ("ecmp", "clove-ecn"), (0.5, 0.7), seeds=(1, 2, 3),
-            asymmetric=True,
-            runner=RunnerConfig(jobs=8, cache_dir="paper-cache",
-                                progress=True),
-        )
-    """
-    if not schemes:
-        raise ValueError("need at least one scheme")
-    base = paper_config(schemes[0], loads[0] if loads else 0.5, **point_kwargs)
-    return sweep_loads(
-        base, schemes, loads, seeds=seeds, metric=metric,
-        telemetry=telemetry, runner=runner,
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+#: {name: [(x, y), ...]} — one figure's line series
 Series = Dict[str, List[Tuple[float, float]]]
 
 
@@ -18,11 +19,22 @@ def render_table(
     unit: str = "ms",
     x_format: str = "{:.2f}",
 ) -> str:
-    """Render {name: [(x, y), ...]} as an aligned text table."""
+    """Render {name: [(x, y), ...]} as an aligned text table.
+
+    Raises :class:`ValueError` when the names carry different x grids (a
+    ragged table would silently misalign rows).
+    """
     if not series:
         return "(no data)"
     names = list(series)
     xs = [x for x, _y in series[names[0]]]
+    for name in names[1:]:
+        name_xs = [x for x, _y in series[name]]
+        if name_xs != xs:
+            raise ValueError(
+                f"ragged x grids: {name!r} has {name_xs} but {names[0]!r} "
+                f"has {xs}; every name must share one grid"
+            )
     width = max(12, max(len(n) for n in names) + 2)
     lines = [f"{x_label:>8} " + " ".join(f"{n:>{width}}" for n in names)]
     for i, x in enumerate(xs):

@@ -1,21 +1,21 @@
-"""Parameter sweeps: (scheme x load x seed) grids with aggregation.
+"""Parameter grids: (name x x-value x seed) runs averaged over seeds.
 
-The paper runs each point with three random seeds and reports the average;
-:func:`average_over_seeds` reproduces that protocol.
+The paper runs each point with three random seeds and reports the average.
+Every grid in the evaluation (Figures 4-8) is folded by one function,
+:func:`run_grid`: it submits the whole names x xs x seeds product to
+:func:`repro.runner.run_jobs` as one batch and averages each requested
+payload key over the seeds of every point.  :func:`sweep_loads` (scheme x
+load) and :func:`average_over_seeds` (one point) are its two common shapes.
 
-Both sweep entry points execute through :mod:`repro.runner`, so a grid can
-run on parallel worker processes and resume from an on-disk result cache —
-pass a :class:`~repro.runner.RunnerConfig`::
+A grid runs on parallel worker processes and resumes from an on-disk
+result cache when given a :class:`~repro.runner.RunnerConfig`::
 
     series = sweep_loads(base, schemes, loads, seeds=(1, 2, 3),
                          runner=RunnerConfig(jobs=8, cache_dir=".cache"))
 
-Metrics are resolved to keys of the standard scalar payload
-(:data:`repro.harness.metrics.METRIC_KEYS`) so they survive the process
-and cache boundaries; the bundled extractors (:func:`avg_fct`,
-:func:`p99_fct`, the Figure 5 bucket metrics) are pre-tagged.  A *custom*
-callable still works — in-process and uncached only, since arbitrary
-closures cannot cross either boundary.
+Metrics are keys of the scalar payload a job computes: any of
+:data:`repro.harness.metrics.METRIC_KEYS` for experiment jobs,
+``goodput_bps`` for incast jobs.
 """
 
 from __future__ import annotations
@@ -23,81 +23,74 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.harness.experiment import ExperimentConfig
 from repro.harness.metrics import METRIC_KEYS
-from repro.runner import JobResult, JobSpec, RunnerConfig, run_jobs
+from repro.harness.report import Series
+from repro.runner import JobSpec, RunnerConfig, run_jobs
 from repro.telemetry import Telemetry
 
-#: metric extractor: result -> float
-Metric = Callable[[ExperimentResult], float]
-#: what sweep functions accept as a metric: a payload key or an extractor
-MetricSpec = Union[str, Metric]
+#: the payload keys a job of each kind reports
+_PAYLOAD_KEYS: Dict[str, Sequence[str]] = {
+    "experiment": METRIC_KEYS,
+    "incast": ("goodput_bps",),
+}
 
 
-def avg_fct(result: ExperimentResult) -> float:
-    """Metric extractor: a run's mean flow completion time."""
-    return result.avg_fct
+def run_grid(
+    make_job: Callable[[str, float, int], JobSpec],
+    names: Sequence[str],
+    xs: Sequence[float],
+    seeds: Sequence[int],
+    keys: Sequence[str],
+    runner: Optional[RunnerConfig] = None,
+    telemetry: Optional[Telemetry] = None,
+) -> Dict[str, Series]:
+    """Run ``make_job(name, x, seed)`` over the grid; ``{key: Series}``.
 
-
-def p99_fct(result: ExperimentResult) -> float:
-    """Metric extractor: a run's 99th-percentile FCT."""
-    return result.p99_fct
-
-
-# Payload keys let these extractors cross the runner's process/cache
-# boundary (the worker computes the full payload; the key selects from it).
-avg_fct.metric_key = "avg_fct"
-p99_fct.metric_key = "p99_fct"
-
-
-def metric_key(metric: MetricSpec) -> Optional[str]:
-    """Resolve a metric spec to its standard-payload key, if it has one.
-
-    Strings are validated against :data:`~repro.harness.metrics.METRIC_KEYS`;
-    callables resolve through their ``metric_key`` attribute (set on the
-    bundled extractors).  Returns None for untagged callables, which can
-    only run in-process.
+    Each series maps a name to ``[(x, mean over seeds), ...]``.  The whole
+    grid is one :func:`run_jobs` batch, so with ``runner.jobs > 1`` every
+    point runs concurrently.  A point with a failed job is NaN and raises
+    a :class:`RuntimeWarning`.  An unknown key raises :class:`ValueError`
+    before anything runs.
     """
-    if isinstance(metric, str):
-        if metric not in METRIC_KEYS:
-            raise ValueError(
-                f"unknown metric key {metric!r} (expected one of {METRIC_KEYS})"
-            )
-        return metric
-    return getattr(metric, "metric_key", None)
-
-
-def _require_in_process(runner: Optional[RunnerConfig]) -> None:
-    if runner is not None and (runner.jobs > 1 or runner.cache_dir):
-        raise ValueError(
-            "custom metric callables cannot cross the process/cache boundary;"
-            " use a payload key from repro.harness.metrics.METRIC_KEYS or a"
-            " metric_key-tagged extractor"
-        )
-
-
-def _mean_metric(chunk: Sequence[JobResult], key: str) -> float:
-    """Average one payload key over a chunk of job results (NaN on failure)."""
-    values = []
-    for result in chunk:
-        if result.metrics is None:
-            warnings.warn(
-                f"job {result.spec.label!r} failed ({result.error}); "
-                f"its grid point is NaN",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return float("nan")
-        values.append(float(result.metrics[key]))
-    return sum(values) / len(values)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    specs = [make_job(name, x, seed) for name in names for x in xs for seed in seeds]
+    for kind in {spec.kind for spec in specs}:
+        for key in keys:
+            if key not in _PAYLOAD_KEYS[kind]:
+                raise ValueError(
+                    f"unknown metric key {key!r} for {kind} jobs "
+                    f"(expected one of {tuple(_PAYLOAD_KEYS[kind])})"
+                )
+    results = iter(run_jobs(specs, runner=runner, telemetry=telemetry))
+    grid: Dict[str, Series] = {key: {name: [] for name in names} for key in keys}
+    for name in names:
+        for x in xs:
+            point = [next(results) for _seed in seeds]
+            failed = next((r for r in point if r.metrics is None), None)
+            if failed is not None:
+                warnings.warn(
+                    f"job {failed.spec.label!r} failed ({failed.error}); "
+                    f"its grid point is NaN",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            for key in keys:
+                mean = (
+                    float("nan") if failed is not None
+                    else sum(float(r.metrics[key]) for r in point) / len(point)
+                )
+                grid[key][name].append((x, mean))
+    return grid
 
 
 def average_over_seeds(
     base: ExperimentConfig,
     seeds: Sequence[int],
-    metric: MetricSpec = avg_fct,
+    metric: str = "avg_fct",
     telemetry: Optional[Telemetry] = None,
     runner: Optional[RunnerConfig] = None,
 ) -> float:
@@ -107,19 +100,11 @@ def average_over_seeds(
     manifest per run, shared counters/events).  ``runner`` selects
     parallelism and caching; None keeps the serial, uncached behaviour.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    key = metric_key(metric)
-    if key is None:
-        _require_in_process(runner)
-        values = [
-            metric(run_experiment(replace(base, seed=seed), telemetry=telemetry))
-            for seed in seeds
-        ]
-        return sum(values) / len(values)
-    specs = [JobSpec.experiment(replace(base, seed=seed)) for seed in seeds]
-    results = run_jobs(specs, runner=runner, telemetry=telemetry)
-    return _mean_metric(results, key)
+    grid = run_grid(
+        lambda _scheme, _load, seed: JobSpec.experiment(replace(base, seed=seed)),
+        [base.scheme], [base.load], seeds, [metric], runner, telemetry,
+    )
+    return grid[metric][base.scheme][0][1]
 
 
 def sweep_loads(
@@ -127,91 +112,21 @@ def sweep_loads(
     schemes: Sequence[str],
     loads: Sequence[float],
     seeds: Sequence[int] = (1,),
-    metric: MetricSpec = avg_fct,
+    metric: str = "avg_fct",
     telemetry: Optional[Telemetry] = None,
     runner: Optional[RunnerConfig] = None,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Produce {scheme: [(load, metric), ...]} — one figure's line series.
-
-    The full scheme x load x seed grid is submitted to the runner as one
-    batch, so with ``runner.jobs > 1`` every point of the figure runs
-    concurrently (not just the seeds of one point).
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    key = metric_key(metric)
-    if key is None:
-        _require_in_process(runner)
-        series: Dict[str, List[Tuple[float, float]]] = {}
-        for scheme in schemes:
-            series[scheme] = [
-                (
-                    load,
-                    average_over_seeds(
-                        replace(base, scheme=scheme, load=load), seeds, metric,
-                        telemetry=telemetry,
-                    ),
-                )
-                for load in loads
-            ]
-        return series
-
-    specs = [
-        JobSpec.experiment(replace(base, scheme=scheme, load=load, seed=seed))
-        for scheme in schemes
-        for load in loads
-        for seed in seeds
-    ]
-    results = run_jobs(specs, runner=runner, telemetry=telemetry)
-    series = {}
-    index = 0
-    for scheme in schemes:
-        points: List[Tuple[float, float]] = []
-        for load in loads:
-            chunk = results[index:index + len(seeds)]
-            index += len(seeds)
-            points.append((load, _mean_metric(chunk, key)))
-        series[scheme] = points
-    return series
+) -> Series:
+    """Produce {scheme: [(load, metric), ...]} — one figure's line series."""
+    grid = run_grid(
+        lambda scheme, load, seed: JobSpec.experiment(
+            replace(base, scheme=scheme, load=load, seed=seed)
+        ),
+        schemes, loads, seeds, [metric], runner, telemetry,
+    )
+    return grid[metric]
 
 
-def format_series_table(
-    series: Dict[str, List[Tuple[float, float]]],
-    metric_name: str = "avg FCT (s)",
-    scale: float = 1.0,
-) -> str:
-    """Render a sweep as the text table the benchmarks print.
-
-    Raises :class:`ValueError` on an empty series dict, and when schemes
-    carry different load grids (a ragged table would silently misalign
-    rows).
-    """
-    if not series:
-        raise ValueError("cannot format an empty series dict")
-    schemes = list(series)
-    loads = [load for load, _ in series[schemes[0]]]
-    for scheme in schemes[1:]:
-        scheme_loads = [load for load, _ in series[scheme]]
-        if scheme_loads != loads:
-            raise ValueError(
-                f"ragged load grids: {scheme!r} has {scheme_loads} but "
-                f"{schemes[0]!r} has {loads}; every scheme must share one grid"
-            )
-    header = ["load(%)"] + schemes
-    lines = ["  ".join(f"{h:>14}" for h in header)]
-    for i, load in enumerate(loads):
-        row = [f"{load * 100:>14.0f}"]
-        for scheme in schemes:
-            row.append(f"{series[scheme][i][1] * scale:>14.4f}")
-        lines.append("  ".join(row))
-    lines.append(f"(metric: {metric_name})")
-    return "\n".join(lines)
-
-
-def series_equal(
-    a: Dict[str, List[Tuple[float, float]]],
-    b: Dict[str, List[Tuple[float, float]]],
-) -> bool:
+def series_equal(a: Series, b: Series) -> bool:
     """Bit-exact equality of two sweep series (NaN compares equal to NaN).
 
     The serial-vs-parallel determinism guarantee is stated in these terms:

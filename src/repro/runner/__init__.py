@@ -15,7 +15,9 @@ This package supplies the execution layer:
   stderr progress reporter, and telemetry merging (workers ship their
   scope back; the parent absorbs it).
 
-Typical use::
+Grids reach the runner through one fold,
+:func:`repro.harness.sweep.run_grid`, which every sweep and figure driver
+calls.  Typical use::
 
     from repro.harness.sweep import sweep_loads
     from repro.runner import RunnerConfig

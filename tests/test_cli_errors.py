@@ -126,3 +126,21 @@ def test_argparse_usage_errors_exit_2(argv, capsys):
         main(argv)
     assert _exit_code(excinfo) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    ["--health"],
+    ["--no-health"],
+    ["--asymmetric"],
+    ["--flow-scale", "0.5"],
+    ["--failover-delay", "0.5"],
+    ["--audit", "strict"],
+])
+def test_figure_rejects_options_it_would_ignore(option, capsys):
+    """`repro figure` registers only the options it reads, so a run option
+    it would silently drop is a usage error before any simulation runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure", "fig4b", *option])
+    assert _exit_code(excinfo) == 2
+    assert "Traceback" not in capsys.readouterr().err
+

@@ -12,7 +12,8 @@ from repro.harness.experiment import (
     ideal_path_weights,
     run_experiment,
 )
-from repro.harness.sweep import average_over_seeds, format_series_table, sweep_loads
+from repro.harness.report import render_table
+from repro.harness.sweep import average_over_seeds, sweep_loads
 
 
 def _quick(scheme="ecmp", **overrides) -> ExperimentConfig:
@@ -185,7 +186,7 @@ class TestSweep:
 
     def test_format_series_table(self):
         series = {"ecmp": [(0.2, 0.001), (0.4, 0.002)], "clove-ecn": [(0.2, 0.001), (0.4, 0.0015)]}
-        text = format_series_table(series, scale=1000.0)
+        text = render_table(series)
         assert "ecmp" in text and "clove-ecn" in text
         assert "20" in text and "40" in text
 

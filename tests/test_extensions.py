@@ -225,4 +225,6 @@ class TestCli:
 
     def test_figure_unknown_name(self):
         from repro.cli import main
-        assert main(["figure", "fig99", "--jobs-per-client", "3"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "fig99", "--jobs-per-client", "3"])
+        assert excinfo.value.code == 2

@@ -12,13 +12,15 @@ from repro.harness.figures import (
     TESTBED_SCHEMES,
     capture_ratios,
     fig4b,
-    fig5,
+    fig5_all,
     fig6,
+    fig7,
     fig9,
     fig9_percentiles,
 )
 from repro.harness import experiment
 from repro.harness.incast import run_incast
+from repro.runner import run_jobs
 
 TINY = FigureQuality(loads=(0.3,), seeds=(1,), jobs_per_client=4)
 
@@ -32,18 +34,35 @@ class TestFigureDrivers:
             assert all(v > 0 for _l, v in points)
 
     def test_fig5_kinds(self):
-        for kind in ("mice", "p99"):
-            series = fig5(kind, TINY)
+        panels = fig5_all(TINY)
+        assert set(panels) == {"mice", "elephants", "p99"}
+        for series in panels.values():
             assert set(series) == set(TESTBED_SCHEMES)
-
-    def test_fig5_invalid_kind(self):
-        with pytest.raises(ValueError):
-            fig5("nope", TINY)
 
     def test_fig6_has_four_variants(self):
         series = fig6(TINY)
         assert len(series) == 4
         assert any("best" in label for label in series)
+
+    @pytest.mark.parametrize("driver", [
+        lambda: fig5_all(TINY),
+        lambda: fig6(TINY),
+        lambda: fig7(fanouts=(1, 2), n_requests=1, total_bytes=100_000),
+    ], ids=["fig5_all", "fig6", "fig7"])
+    def test_grid_is_one_runner_batch(self, driver, monkeypatch):
+        """Every point of a figure's grid goes to the runner in one batch,
+        so ``-j N`` parallelises across the whole figure."""
+        from repro.harness import sweep
+
+        batches = []
+
+        def counting_run_jobs(specs, **kwargs):
+            batches.append(len(specs))
+            return run_jobs(specs, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_jobs", counting_run_jobs)
+        driver()
+        assert len(batches) == 1 and batches[0] > 1
 
     def test_fig9_cdfs(self):
         cdfs = fig9(load=0.3, seed=1, jobs_per_client=4)

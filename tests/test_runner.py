@@ -7,12 +7,11 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.metrics import METRIC_KEYS, standard_metrics
+from repro.harness.report import render_table
 from repro.harness.sweep import (
     average_over_seeds,
-    avg_fct,
-    format_series_table,
-    metric_key,
-    p99_fct,
+    run_grid,
+    series_equal,
     sweep_loads,
 )
 from repro.runner import (
@@ -217,41 +216,25 @@ class TestRunJobsSerial:
 
 
 class TestMetricResolution:
-    def test_bundled_extractors_are_tagged(self):
-        assert metric_key(avg_fct) == "avg_fct"
-        assert metric_key(p99_fct) == "p99_fct"
-        assert metric_key("mice_avg_fct") == "mice_avg_fct"
-
     def test_unknown_string_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric key"):
-            metric_key("not_a_metric")
-
-    def test_custom_callable_runs_in_process(self):
-        value = average_over_seeds(
-            _quick(), seeds=[1], metric=lambda result: 42.0
-        )
-        assert value == 42.0
-
-    def test_custom_callable_rejects_parallel_runner(self):
-        with pytest.raises(ValueError, match="custom metric"):
-            sweep_loads(
-                _quick(), ["ecmp"], [0.3], seeds=[1],
-                metric=lambda result: 0.0,
-                runner=RunnerConfig(jobs=4),
-            )
-
-    def test_custom_callable_rejects_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="custom metric"):
-            average_over_seeds(
-                _quick(), seeds=[1], metric=lambda result: 0.0,
-                runner=RunnerConfig(cache_dir=str(tmp_path)),
+        with pytest.raises(ValueError, match="unknown metric key") as excinfo:
+            sweep_loads(_quick(), ["ecmp"], [0.3], seeds=[1], metric="not_a_metric")
+        assert "avg_fct" in str(excinfo.value)
+        assert "mice_avg_fct" in str(excinfo.value)
+        with pytest.raises(ValueError, match="goodput_bps"):
+            run_grid(
+                lambda scheme, fanout, seed: JobSpec.incast(
+                    scheme=scheme, fanout=fanout, seed=seed
+                ),
+                ["ecmp"], [2], [1], ["avg_fct"],
             )
 
 
 class TestFormatSeriesTable:
-    def test_empty_series_raises(self):
-        with pytest.raises(ValueError, match="empty series"):
-            format_series_table({})
+    """The series-table renderer, :func:`repro.harness.report.render_table`."""
+
+    def test_empty_series_renders_no_data(self):
+        assert render_table({}) == "(no data)"
 
     def test_ragged_load_grids_raise(self):
         series = {
@@ -259,7 +242,7 @@ class TestFormatSeriesTable:
             "clove-ecn": [(0.2, 0.001)],
         }
         with pytest.raises(ValueError, match="ragged"):
-            format_series_table(series)
+            render_table(series)
 
     def test_mismatched_loads_raise(self):
         series = {
@@ -267,14 +250,14 @@ class TestFormatSeriesTable:
             "clove-ecn": [(0.2, 0.001), (0.5, 0.002)],
         }
         with pytest.raises(ValueError, match="ragged"):
-            format_series_table(series)
+            render_table(series)
 
     def test_well_formed_series_still_renders(self):
         series = {
             "ecmp": [(0.2, 0.001), (0.4, 0.002)],
             "clove-ecn": [(0.2, 0.001), (0.4, 0.0015)],
         }
-        text = format_series_table(series, scale=1000.0)
+        text = render_table(series)
         assert "ecmp" in text and "clove-ecn" in text
 
 
@@ -302,3 +285,30 @@ class TestSweepThroughRunner:
                 _quick(workload="bogus"), ["ecmp"], [0.3], seeds=[1]
             )
         assert math.isnan(series["ecmp"][0][1])
+
+    def test_sweep_matches_reference_fold(self):
+        """sweep_loads equals a by-hand fold of the raw run_jobs results:
+        the seeds of each point summed in seed order, divided by their
+        count, points in scheme-major, load-minor order."""
+        base = _quick()
+        schemes, loads, seeds = ["ecmp", "clove-ecn"], [0.3, 0.5], [1, 2]
+        specs = [
+            JobSpec.experiment(_quick(scheme, load=load, seed=seed))
+            for scheme in schemes
+            for load in loads
+            for seed in seeds
+        ]
+        results = run_jobs(specs)
+        reference = {}
+        for i, scheme in enumerate(schemes):
+            reference[scheme] = []
+            for j, load in enumerate(loads):
+                start = (i * len(loads) + j) * len(seeds)
+                chunk = results[start:start + len(seeds)]
+                total = 0
+                for result in chunk:
+                    total += result.metrics["avg_fct"]
+                reference[scheme].append((load, total / len(seeds)))
+        assert series_equal(
+            sweep_loads(base, schemes, loads, seeds=seeds), reference
+        )
